@@ -245,13 +245,14 @@ pub fn secure_dense_weight_grad<A: KeyService + ?Sized>(
     let columns = batch.x.feip_columns()?;
     let column_refs: Vec<&cryptonn_fe::FeipCiphertext> = columns.iter().collect();
 
-    // One combined ciphertext per output neuron, then all n coordinates
-    // read in one batched pass (shared ct₀ comb table, one inversion).
-    // Rows are independent → parallelize across them.
+    // One combined ciphertext per output neuron, all rows in one batched
+    // combination (shared column tables, one inversion), then each row's
+    // n coordinates read in one batched pass, parallel across rows.
+    let weight_rows: Vec<&[i64]> = (0..k).map(|i| dq.row(i)).collect();
+    let combined = feip::combine_many(&mpk, &column_refs, &weight_rows, parallelism)?;
     let rows: Vec<Result<Vec<i64>, CryptoNnError>> =
         parallel_map(k, parallelism.thread_count(), |i| {
-            let combined = feip::combine(&mpk, &column_refs, dq.row(i))?;
-            feip::decrypt_coordinates(&mpk, &combined, unit_keys, &table)
+            feip::decrypt_coordinates(&mpk, &combined[i], unit_keys, &table)
                 .map_err(CryptoNnError::from)
         });
 
@@ -362,11 +363,13 @@ pub fn secure_conv_weight_grad<A: KeyService + ?Sized>(
     let mpk = authority.feip_public_key(dim)?;
     let window_refs: Vec<&cryptonn_fe::FeipCiphertext> = windows.iter().collect();
 
+    // One weight row per output channel: Gp's columns.
+    let gt = gq.transpose();
+    let weight_rows: Vec<&[i64]> = (0..out_c).map(|oc| gt.row(oc)).collect();
+    let combined = feip::combine_many(&mpk, &window_refs, &weight_rows, parallelism)?;
     let rows: Vec<Result<Vec<i64>, CryptoNnError>> =
         parallel_map(out_c, parallelism.thread_count(), |oc| {
-            let weights = gq.col(oc);
-            let combined = feip::combine(&mpk, &window_refs, &weights)?;
-            feip::decrypt_coordinates(&mpk, &combined, unit_keys, &table)
+            feip::decrypt_coordinates(&mpk, &combined[oc], unit_keys, &table)
                 .map_err(CryptoNnError::from)
         });
 

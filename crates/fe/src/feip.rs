@@ -182,6 +182,16 @@ impl FeipCiphertext {
     pub fn dimension(&self) -> usize {
         self.cts.len()
     }
+
+    /// The randomness component `ct₀ = g^r`.
+    pub fn ct0(&self) -> &Element {
+        &self.ct0
+    }
+
+    /// The coordinate components `ctᵢ = hᵢ^r · g^{xᵢ}`.
+    pub fn coordinates(&self) -> &[Element] {
+        &self.cts
+    }
 }
 
 /// `Setup(1^λ, 1^η)`: creates an FEIP instance of dimension `dim` over
@@ -309,29 +319,75 @@ where
 /// This homomorphism is what lets the CryptoNN server evaluate the
 /// first-layer weight gradient `δ · Xᵀ` without learning `X`: each
 /// gradient row is a weighted sum of the encrypted sample columns (see
-/// DESIGN.md §4 for the security discussion).
+/// DESIGN.md §4 for the security discussion). This is the one-row,
+/// single-threaded call of [`combine_many`]; callers with several weight
+/// rows over the same ciphertexts should call that instead so the
+/// odd-power tables are built once.
 ///
 /// # Errors
 ///
-/// Returns [`FeError::DimensionMismatch`] if the ciphertext dimensions
-/// disagree or `weights.len() != cts.len()`.
-///
-/// # Panics
-///
-/// Panics if `cts` is empty.
+/// As [`combine_many`].
 pub fn combine(
     mpk: &FeipPublicKey,
     cts: &[&FeipCiphertext],
     weights: &[i64],
 ) -> Result<FeipCiphertext, FeError> {
-    assert!(!cts.is_empty(), "combine requires at least one ciphertext");
-    if weights.len() != cts.len() {
-        return Err(FeError::DimensionMismatch {
-            expected: cts.len(),
-            got: weights.len(),
-        });
+    let mut out = combine_many(mpk, cts, &[weights], Parallelism::Serial)?;
+    Ok(out.pop().expect("one row in, one ciphertext out"))
+}
+
+/// Batched [`combine`]: one combined ciphertext per weight row, all over
+/// the same `cts` — the shape of the secure weight gradient, where every
+/// output neuron's δ row weights the same batch of sample ciphertexts.
+///
+/// The batch is viewed as `dim + 1` coordinate columns (`ct₀` and each
+/// `ctⱼ`), each with the `m` sample elements as its bases. Output
+/// coordinate `j` of row `r` is the multi-exponentiation
+/// `∏ₛ ctₛ,ⱼ^{w_{r,s}}`, evaluated by Straus interleaving over
+/// wNAF-recoded weights (`cryptonn_group::multi_scalar`):
+///
+/// - each column's odd-power tables are built **once** and shared by
+///   every row;
+/// - each row is recoded **once** and shared by all its columns;
+/// - work units are (row, stride of four columns), stepped through the
+///   4-lane Montgomery kernel, like phase 2 of [`decrypt_cells_refs`];
+/// - every deferred ratio resolves through **one** batched inversion.
+///
+/// Negative weights stay small signed digits, so the shared squaring
+/// chain is `log₂ max|w|` long instead of a full-width exponent per
+/// negative weight. Output is bit-identical to folding
+/// `group.pow(ctₛ,ⱼ, w mod q)` per element.
+///
+/// # Errors
+///
+/// - [`FeError::InvalidOperand`] if `cts` is empty while `rows` is not,
+/// - [`FeError::DimensionMismatch`] if the ciphertext dimensions
+///   disagree or any row's length differs from `cts.len()`.
+///
+/// An empty `rows` returns an empty `Vec`.
+pub fn combine_many(
+    mpk: &FeipPublicKey,
+    cts: &[&FeipCiphertext],
+    rows: &[&[i64]],
+    parallelism: Parallelism,
+) -> Result<Vec<FeipCiphertext>, FeError> {
+    if rows.is_empty() {
+        return Ok(Vec::new());
     }
-    let dim = cts[0].dimension();
+    let Some(first) = cts.first() else {
+        return Err(FeError::InvalidOperand(
+            "combine needs at least one ciphertext",
+        ));
+    };
+    for row in rows {
+        if row.len() != cts.len() {
+            return Err(FeError::DimensionMismatch {
+                expected: cts.len(),
+                got: row.len(),
+            });
+        }
+    }
+    let dim = first.dimension();
     for ct in cts {
         if ct.dimension() != dim {
             return Err(FeError::DimensionMismatch {
@@ -341,19 +397,54 @@ pub fn combine(
         }
     }
     let group = &mpk.group;
-    let mut ct0 = group.identity();
-    let mut cts_out = vec![group.identity(); dim];
-    for (ct, &w) in cts.iter().zip(weights) {
-        if w == 0 {
-            continue;
+    let threads = parallelism.thread_count();
+    let ncols = dim + 1;
+    let recoded: Vec<WnafScalars> = rows.iter().map(|row| WnafScalars::recode(row)).collect();
+
+    // Phase 1 — one odd-power table set per coordinate column, shared by
+    // every row; column 0 is ct₀, column j + 1 is ctⱼ.
+    let columns: Vec<OddPowerTables> = parallel_map(ncols, threads, |j| {
+        let bases: Vec<Element> = cts
+            .iter()
+            .map(|ct| if j == 0 { ct.ct0 } else { ct.cts[j - 1] })
+            .collect();
+        group.odd_power_tables(&bases)
+    });
+
+    // Phase 2 — deferred ratios, one work unit per (row, stride of four
+    // columns), as in `decrypt_cells_refs`.
+    let nstrides = ncols.div_ceil(LANES);
+    let identity = ElementRatio::from_element(group, group.identity());
+    let units: Vec<Vec<ElementRatio>> = parallel_map(rows.len() * nstrides, threads, |idx| {
+        let (r, s) = (idx / nstrides, idx % nstrides);
+        let c0 = s * LANES;
+        let width = LANES.min(ncols - c0);
+        let scalars = &recoded[r];
+        if scalars.is_all_zero() {
+            vec![identity; width]
+        } else if width == LANES {
+            let tables: [&OddPowerTables; LANES] = core::array::from_fn(|i| &columns[c0 + i]);
+            group.multi_scalar_ratio_lanes(tables, scalars).to_vec()
+        } else {
+            // Remainder stride (< 4 columns): the serial path.
+            columns[c0..]
+                .iter()
+                .map(|tables| group.multi_scalar_ratio(tables, scalars))
+                .collect()
         }
-        let e = group.scalar_from_i64(w);
-        ct0 = group.mul(&ct0, &group.pow(&ct.ct0, &e));
-        for (acc, cti) in cts_out.iter_mut().zip(&ct.cts) {
-            *acc = group.mul(acc, &group.pow(cti, &e));
-        }
-    }
-    Ok(FeipCiphertext { ct0, cts: cts_out })
+    });
+
+    // Phase 3 — one batched inversion; units are row-major, so row r's
+    // coordinates are the r-th run of `ncols` elements.
+    let ratios: Vec<ElementRatio> = units.into_iter().flatten().collect();
+    let raws = group.resolve_ratios(&ratios);
+    Ok(raws
+        .chunks_exact(ncols)
+        .map(|row| FeipCiphertext {
+            ct0: row[0],
+            cts: row[1..].to_vec(),
+        })
+        .collect())
 }
 
 /// Computes the raw decryption `g^{⟨x,y⟩} = ∏ ctᵢ^{yᵢ} / ct₀^{sk_f}`
@@ -1037,6 +1128,55 @@ mod tests {
     fn combine_rejects_mismatches() {
         let (mpk, _msk, mut rng) = setup_small(2);
         let ct = encrypt(&mpk, &[1, 2], &mut rng).unwrap();
-        assert!(combine(&mpk, &[&ct], &[1, 2]).is_err());
+        assert_eq!(
+            combine(&mpk, &[&ct], &[1, 2]),
+            Err(FeError::DimensionMismatch {
+                expected: 1,
+                got: 2
+            })
+        );
+        // A ciphertext of another dimension in the batch.
+        let (mpk3, _msk3, mut rng3) = setup_small(3);
+        let ct3 = encrypt(&mpk3, &[1, 2, 3], &mut rng3).unwrap();
+        assert_eq!(
+            combine_many(&mpk, &[&ct, &ct3], &[&[1, 1]], Parallelism::Serial),
+            Err(FeError::DimensionMismatch {
+                expected: 2,
+                got: 3
+            })
+        );
+        // One bad row among good ones fails the whole call.
+        assert_eq!(
+            combine_many(&mpk, &[&ct], &[&[1], &[1, 2]], Parallelism::Serial),
+            Err(FeError::DimensionMismatch {
+                expected: 1,
+                got: 2
+            })
+        );
+    }
+
+    #[test]
+    fn combine_without_ciphertexts_is_a_typed_error() {
+        let (mpk, _msk, _rng) = setup_small(2);
+        let err = FeError::InvalidOperand("combine needs at least one ciphertext");
+        assert_eq!(combine(&mpk, &[], &[]), Err(err.clone()));
+        assert_eq!(
+            combine_many(&mpk, &[], &[&[]], Parallelism::Threads(2)),
+            Err(err)
+        );
+    }
+
+    #[test]
+    fn combine_many_without_rows_is_empty() {
+        let (mpk, _msk, mut rng) = setup_small(2);
+        let ct = encrypt(&mpk, &[1, 2], &mut rng).unwrap();
+        assert_eq!(
+            combine_many(&mpk, &[&ct], &[], Parallelism::Serial),
+            Ok(Vec::new())
+        );
+        assert_eq!(
+            combine_many(&mpk, &[], &[], Parallelism::Serial),
+            Ok(Vec::new())
+        );
     }
 }

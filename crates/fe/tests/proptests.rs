@@ -1,8 +1,10 @@
 //! Property-based tests: FEIP and FEBO decryption must equal the
-//! plaintext function on random inputs, and must be randomized.
+//! plaintext function on random inputs, and must be randomized; the
+//! batched ciphertext combination must equal the per-element fold.
 
 use cryptonn_fe::{febo, feip, BasicOp, KeyAuthority, PermittedFunctions};
-use cryptonn_group::{DlogTable, SchnorrGroup, SecurityLevel};
+use cryptonn_group::{DlogTable, Element, SchnorrGroup, SecurityLevel, LANES};
+use cryptonn_parallel::Parallelism;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -152,6 +154,149 @@ proptest! {
                     febo::decrypt_raw(&mpk, &sk, &ct, op, y).unwrap(),
                     febo::decrypt_raw_naive(&mpk, &sk, &ct, op, y).unwrap(),
                     "level {:?} op {}", level, op
+                );
+            }
+        }
+    }
+}
+
+/// The per-element reference combination: one full-width
+/// `group.pow(·, w mod q)` per (sample, coordinate), folded by
+/// multiplication. Kept only here, as the oracle for `combine_many`.
+fn reference_combine(
+    g: &SchnorrGroup,
+    cts: &[&feip::FeipCiphertext],
+    weights: &[i64],
+) -> (Element, Vec<Element>) {
+    let mut ct0 = g.identity();
+    let mut coords = vec![g.identity(); cts[0].dimension()];
+    for (ct, &w) in cts.iter().zip(weights) {
+        if w == 0 {
+            continue;
+        }
+        let e = g.scalar_from_i64(w);
+        ct0 = g.mul(&ct0, &g.pow(ct.ct0(), &e));
+        for (acc, cti) in coords.iter_mut().zip(ct.coordinates()) {
+            *acc = g.mul(acc, &g.pow(cti, &e));
+        }
+    }
+    (ct0, coords)
+}
+
+/// Encrypts `m` random `dim`-vectors at `level` and checks
+/// `combine_many` (serial and threaded) and `combine` against the
+/// reference fold, component by component.
+fn assert_combine_matches_reference(
+    level: SecurityLevel,
+    dim: usize,
+    m: usize,
+    rows: &[Vec<i64>],
+    seed: u64,
+) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let g = SchnorrGroup::precomputed(level);
+    let (mpk, _msk) = feip::setup(g.clone(), dim, &mut rng);
+    let cts: Vec<feip::FeipCiphertext> = (0..m)
+        .map(|s| {
+            let x: Vec<i64> = (0..dim).map(|j| (s * 7 + j * 3) as i64 % 11 - 5).collect();
+            feip::encrypt(&mpk, &x, &mut rng).unwrap()
+        })
+        .collect();
+    let refs: Vec<&feip::FeipCiphertext> = cts.iter().collect();
+    let row_refs: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
+    let expected: Vec<(Element, Vec<Element>)> = rows
+        .iter()
+        .map(|w| reference_combine(&g, &refs, w))
+        .collect();
+    for par in [Parallelism::Serial, Parallelism::Threads(3)] {
+        let got = feip::combine_many(&mpk, &refs, &row_refs, par).unwrap();
+        assert_eq!(got.len(), rows.len());
+        for (r, (ct, (ct0, coords))) in got.iter().zip(&expected).enumerate() {
+            assert_eq!(
+                ct.ct0(),
+                ct0,
+                "{level:?} dim {dim} m {m} row {r} ct0 under {par:?}"
+            );
+            assert_eq!(
+                ct.coordinates(),
+                &coords[..],
+                "{level:?} dim {dim} m {m} row {r} under {par:?}"
+            );
+        }
+    }
+    for (w, (ct0, coords)) in rows.iter().zip(&expected) {
+        let one = feip::combine(&mpk, &refs, w).unwrap();
+        assert_eq!((one.ct0(), one.coordinates()), (ct0, &coords[..]));
+    }
+}
+
+/// Weight shapes the gradient path produces and the recoding must get
+/// right: zero, ±1, the ±10 000 quantization scale, and up to ±2³¹.
+fn weight() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        Just(0i64),
+        Just(1),
+        Just(-1),
+        Just(10_000),
+        Just(-10_000),
+        Just(1 << 31),
+        Just(-(1 << 31)),
+        -10_000i64..=10_000,
+        -(1i64 << 31)..=(1 << 31),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// `combine_many` equals the per-element reference fold for random
+    /// batch shapes: 1..=9 coordinates (so `dim + 1` columns both fill
+    /// and miss the lane stride), 1..=5 ciphertexts, 1..=4 rows that may
+    /// be all zero, at Bits64 and Bits256Fast, serial and threaded.
+    #[test]
+    fn combine_many_equals_reference_fold(
+        dim in 1usize..=9,
+        m in 1usize..=5,
+        rows in proptest::collection::vec(
+            prop_oneof![
+                proptest::collection::vec(weight(), 5),
+                proptest::collection::vec(Just(0i64), 5),
+            ],
+            1..=4,
+        ),
+        seed in any::<u64>(),
+    ) {
+        let rows: Vec<Vec<i64>> = rows.into_iter().map(|w| w[..m].to_vec()).collect();
+        for level in [SecurityLevel::Bits64, SecurityLevel::Bits256Fast] {
+            assert_combine_matches_reference(level, dim, m, &rows, seed);
+        }
+    }
+}
+
+/// The edge shapes pinned explicitly: a single ciphertext, all-zero
+/// rows, and column counts on and off a multiple of `LANES`.
+#[test]
+fn combine_many_edge_shapes_equal_reference_fold() {
+    let rows_for = |m: usize| -> Vec<Vec<i64>> {
+        vec![
+            (0..m)
+                .map(|s| [1, -1, 10_000, -10_000, 1 << 31][s % 5])
+                .collect(),
+            vec![0; m],
+            (0..m).map(|s| -(1i64 << 31) + s as i64).collect(),
+        ]
+    };
+    for level in [SecurityLevel::Bits64, SecurityLevel::Bits256Fast] {
+        // `dim + 1` columns: a short remainder, exact strides, and full
+        // strides plus a remainder.
+        for dim in [1, LANES - 1, LANES, 2 * LANES - 1, 2 * LANES] {
+            for m in [1, 5] {
+                assert_combine_matches_reference(
+                    level,
+                    dim,
+                    m,
+                    &rows_for(m),
+                    dim as u64 * 31 + m as u64,
                 );
             }
         }
